@@ -1,5 +1,10 @@
-//! Shared workloads and scaling for the figure-reproduction experiments.
+//! Shared workloads and scaling for the figure-reproduction experiments,
+//! plus the output plumbing the `repro sweep` / `sweep-merge` / `serve`
+//! subcommands share.
 
+use std::path::Path;
+
+use crescent_explorer::diff_reports;
 use crescent_pointcloud::datasets::{generate_scene, LidarScene, LidarSceneConfig};
 use crescent_pointcloud::PointCloud;
 
@@ -146,6 +151,64 @@ impl Figure {
             .collect();
         out.push_str(&crescent::format_table(&headers, &rows));
         out
+    }
+}
+
+/// Nanoseconds as seconds, for the wall-clock lines on stderr.
+pub fn secs(nanos: u64) -> f64 {
+    nanos as f64 / 1e9
+}
+
+/// Writes `text` to `path` (creating parent directories) and says so on
+/// stdout as "`what` written to `path`". On failure prints the error to
+/// stderr and returns `false`.
+pub fn write_report(path: &Path, text: &str, what: &str) -> bool {
+    let written = match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => std::fs::create_dir_all(parent),
+        _ => Ok(()),
+    }
+    .and_then(|()| std::fs::write(path, text));
+    match written {
+        Ok(()) => {
+            println!("{what} written to {}", path.display());
+            true
+        }
+        Err(err) => {
+            eprintln!("cannot write {}: {err}", path.display());
+            false
+        }
+    }
+}
+
+/// The `--check` gate: compares `json` byte for byte against the
+/// baseline file and returns the process exit code (0 = match, 1 =
+/// drift or unreadable baseline). `command` names the subcommand in the
+/// OK line; `refresh` is the `repro` argument list that regenerates the
+/// baseline, printed whenever the baseline is missing or has drifted.
+pub fn check_baseline(command: &str, json: &str, baseline: &Path, refresh: &str) -> i32 {
+    let text = match std::fs::read_to_string(baseline) {
+        Ok(text) => text,
+        Err(err) => {
+            eprintln!(
+                "cannot read baseline {}: {err}\n(generate one with `repro {refresh}` and commit it)",
+                baseline.display()
+            );
+            return 1;
+        }
+    };
+    match diff_reports(&text, json) {
+        None => {
+            println!("{command} check OK: report matches {}", baseline.display());
+            0
+        }
+        Some(drift) => {
+            eprintln!("{drift}");
+            eprintln!(
+                "if this drift is intended, refresh the baseline:\n\
+                 cargo run --release -p crescent-bench --bin repro -- {refresh}"
+            );
+            1
+        }
     }
 }
 

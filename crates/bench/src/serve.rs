@@ -21,11 +21,13 @@
 //! baseline with `repro serve --quick --json bench/serve-baseline.json`
 //! and commit the diff.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use crescent::format_table;
-use crescent_explorer::diff_reports;
-use crescent_serve::{default_workers, run_serve_timed, ServeReport, ServeSpec, ServeTimings};
+use crescent_explorer::{default_workers, pool_size};
+use crescent_serve::{run_serve_timed, ServeReport, ServeSpec, ServeTimings};
+
+use crate::common::{check_baseline, secs, write_report};
 
 /// Default location of the checked-in quick-serve baseline, relative to
 /// the workspace root (where CI and `cargo run` invoke the binary).
@@ -117,7 +119,7 @@ pub fn run_serve_command(args: &ServeArgs) -> i32 {
         spec.base_deadline = (ms * 1e6).round() as u64;
         println!("# SLO override: base deadline {ms} ms = {} cycles", spec.base_deadline);
     }
-    let workers = args.workers.clamp(1, spec.num_points().max(1));
+    let workers = pool_size(args.workers, spec.num_points());
     println!(
         "# streaming service: {} ({} points, {workers} workers)",
         spec.label,
@@ -138,47 +140,19 @@ pub fn run_serve_command(args: &ServeArgs) -> i32 {
 
     let json = report.to_json();
     if let Some(path) = &args.json {
-        if let Err(err) = write_report(path, &json) {
-            eprintln!("cannot write {}: {err}", path.display());
+        if !write_report(path, &json, "report") {
             return 1;
         }
-        println!("report written to {}", path.display());
     }
     if let Some(path) = &args.timings {
-        if let Err(err) = write_report(path, &timings.to_json(&spec)) {
-            eprintln!("cannot write {}: {err}", path.display());
+        if !write_report(path, &timings.to_json(&spec), "timings sidecar") {
             return 1;
         }
-        println!("timings sidecar written to {}", path.display());
     }
-
     if args.check {
-        let baseline = match std::fs::read_to_string(&args.baseline) {
-            Ok(text) => text,
-            Err(err) => {
-                eprintln!(
-                    "cannot read baseline {}: {err}\n\
-                     (generate one with `repro serve{} --json {}` and commit it)",
-                    args.baseline.display(),
-                    if args.quick { " --quick" } else { "" },
-                    args.baseline.display()
-                );
-                return 1;
-            }
-        };
-        match diff_reports(&baseline, &json) {
-            None => println!("serve check OK: report matches {}", args.baseline.display()),
-            Some(drift) => {
-                eprintln!("{drift}");
-                eprintln!(
-                    "if this drift is intended, refresh the baseline:\n\
-                     cargo run --release -p crescent-bench --bin repro -- serve{} --json {}",
-                    if args.quick { " --quick" } else { "" },
-                    args.baseline.display()
-                );
-                return 1;
-            }
-        }
+        let quick = if args.quick { " --quick" } else { "" };
+        let refresh = format!("serve{quick} --json {}", args.baseline.display());
+        return check_baseline("serve", &json, &args.baseline, &refresh);
     }
     0
 }
@@ -248,22 +222,10 @@ fn eprint_timings(timings: &ServeTimings, workers: usize) {
     );
 }
 
-fn secs(nanos: u64) -> f64 {
-    nanos as f64 / 1e9
-}
-
-fn write_report(path: &Path, json: &str) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, json)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()

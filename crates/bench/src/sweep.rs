@@ -27,14 +27,16 @@
 //! produces bytes identical to the single-process run, so the two
 //! workflows gate interchangeably.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 use crescent::format_table;
 use crescent_explorer::{
-    default_workers, diff_reports, merge_shards, run_sweep_shard_timed, run_sweep_timed, ShardFile,
+    default_workers, merge_shards, pool_size, run_sweep_shard_timed, run_sweep_timed, ShardFile,
     SweepReport, SweepSpec, SweepTimings,
 };
+
+use crate::common::{check_baseline, secs, write_report};
 
 /// Default location of the checked-in quick-sweep baseline, relative to
 /// the workspace root (where CI and `cargo run` invoke the binary).
@@ -145,7 +147,7 @@ pub fn run_sweep_command(args: &SweepArgs) -> i32 {
         },
         None => spec.num_points(),
     };
-    let workers = args.workers.clamp(1, points.max(1));
+    let workers = pool_size(args.workers, points);
     match args.shard {
         Some((index, count)) => println!(
             "# design-space sweep: {} shard {index}/{count} ({points} of {} points, {workers} \
@@ -176,47 +178,19 @@ pub fn run_sweep_command(args: &SweepArgs) -> i32 {
 
     let json = report.to_json();
     if let Some(path) = &args.json {
-        if let Err(err) = write_report(path, &json) {
-            eprintln!("cannot write {}: {err}", path.display());
+        if !write_report(path, &json, "report") {
             return 1;
         }
-        println!("report written to {}", path.display());
     }
     if let Some(path) = &args.timings {
-        if let Err(err) = write_report(path, &timings.to_json(&spec, report.shard)) {
-            eprintln!("cannot write {}: {err}", path.display());
+        if !write_report(path, &timings.to_json(&spec, report.shard), "timings sidecar") {
             return 1;
         }
-        println!("timings sidecar written to {}", path.display());
     }
-
     if args.check {
-        let baseline = match std::fs::read_to_string(&args.baseline) {
-            Ok(text) => text,
-            Err(err) => {
-                eprintln!(
-                    "cannot read baseline {}: {err}\n\
-                     (generate one with `repro sweep{} --json {}` and commit it)",
-                    args.baseline.display(),
-                    if args.quick { " --quick" } else { "" },
-                    args.baseline.display()
-                );
-                return 1;
-            }
-        };
-        match diff_reports(&baseline, &json) {
-            None => println!("sweep check OK: report matches {}", args.baseline.display()),
-            Some(drift) => {
-                eprintln!("{drift}");
-                eprintln!(
-                    "if this drift is intended, refresh the baseline:\n\
-                     cargo run --release -p crescent-bench --bin repro -- sweep{} --json {}",
-                    if args.quick { " --quick" } else { "" },
-                    args.baseline.display()
-                );
-                return 1;
-            }
-        }
+        let quick = if args.quick { " --quick" } else { "" };
+        let refresh = format!("sweep{quick} --json {}", args.baseline.display());
+        return check_baseline("sweep", &json, &args.baseline, &refresh);
     }
     0
 }
@@ -302,38 +276,13 @@ pub fn run_sweep_merge_command(args: &MergeArgs) -> i32 {
     eprintln!("# wall-clock: merge {:.3}s", secs(merge_start.elapsed().as_nanos() as u64));
 
     if let Some(path) = &args.json {
-        if let Err(err) = write_report(path, &json) {
-            eprintln!("cannot write {}: {err}", path.display());
+        if !write_report(path, &json, "report") {
             return 1;
         }
-        println!("report written to {}", path.display());
     }
-
     if args.check {
-        let baseline = match std::fs::read_to_string(&args.baseline) {
-            Ok(text) => text,
-            Err(err) => {
-                eprintln!(
-                    "cannot read baseline {}: {err}\n\
-                     (generate one with `repro sweep --quick --json {}` and commit it)",
-                    args.baseline.display(),
-                    args.baseline.display()
-                );
-                return 1;
-            }
-        };
-        match diff_reports(&baseline, &json) {
-            None => println!("sweep-merge check OK: report matches {}", args.baseline.display()),
-            Some(drift) => {
-                eprintln!("{drift}");
-                eprintln!(
-                    "if this drift is intended, refresh the baseline:\n\
-                     cargo run --release -p crescent-bench --bin repro -- sweep --quick --json {}",
-                    args.baseline.display()
-                );
-                return 1;
-            }
-        }
+        let refresh = format!("sweep --quick --json {}", args.baseline.display());
+        return check_baseline("sweep-merge", &json, &args.baseline, &refresh);
     }
     0
 }
@@ -405,22 +354,10 @@ fn eprint_timings(timings: &SweepTimings, workers: usize) {
     }
 }
 
-fn secs(nanos: u64) -> f64 {
-    nanos as f64 / 1e9
-}
-
-fn write_report(path: &Path, json: &str) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, json)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()

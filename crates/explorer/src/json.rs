@@ -8,6 +8,13 @@
 //! exactly that: objects keep insertion order, floats print through
 //! Rust's shortest-roundtrip formatter (deterministic for a given
 //! value), and there is no configuration that could perturb the bytes.
+//!
+//! The document helpers below are the house style shared by every
+//! report and timings sidecar: a pretty top level, one `"key": value`
+//! line per scalar or object section, and arrays with one compact item
+//! per line, so the exact comparator's line diff points at single rows.
+//! A document is [`open_document`], then [`push_field`] /
+//! [`push_array`] sections, then [`close_document`].
 
 use std::fmt::Write as _;
 
@@ -81,6 +88,47 @@ impl From<&str> for Json {
     fn from(s: &str) -> Self {
         Json::Str(s.to_string())
     }
+}
+
+/// Starts a document: `{` and the `schema`, `label` and `fingerprint`
+/// lines every report and sidecar opens with.
+pub fn open_document(schema: &str, label: &str, fingerprint: u64) -> String {
+    let mut out = String::with_capacity(1024);
+    out.push_str("{\n");
+    push_field(&mut out, "schema", &Json::from(schema));
+    push_field(&mut out, "label", &Json::from(label));
+    let _ = writeln!(out, "  \"fingerprint\": \"{fingerprint:016x}\",");
+    out
+}
+
+/// Appends one `  "key": <compact value>,` line.
+pub fn push_field(out: &mut String, key: &str, value: &Json) {
+    let _ = write!(out, "  \"{key}\": ");
+    value.write(out);
+    out.push_str(",\n");
+}
+
+/// Appends an array section: `  "key": [`, one already-compact item per
+/// line with a comma on all but the last, then `  ],`.
+pub fn push_array<S: AsRef<str>>(out: &mut String, key: &str, items: impl IntoIterator<Item = S>) {
+    let _ = writeln!(out, "  \"{key}\": [");
+    let mut items = items.into_iter().peekable();
+    while let Some(item) = items.next() {
+        out.push_str("    ");
+        out.push_str(item.as_ref());
+        out.push_str(if items.peek().is_some() { ",\n" } else { "\n" });
+    }
+    out.push_str("  ],\n");
+}
+
+/// Ends a document: drops the last section's trailing comma and closes
+/// the top-level object.
+pub fn close_document(out: &mut String) {
+    if out.ends_with(",\n") {
+        out.truncate(out.len() - 2);
+        out.push('\n');
+    }
+    out.push_str("}\n");
 }
 
 /// Writes a double using Rust's shortest-roundtrip formatting, which is
@@ -161,6 +209,21 @@ mod tests {
         assert_eq!(Json::F64(6.25 / 3.0).to_compact(), format!("{:?}", 6.25_f64 / 3.0));
         assert_eq!(Json::F64(f64::NAN).to_compact(), "null");
         assert_eq!(Json::F64(f64::INFINITY).to_compact(), "null");
+    }
+
+    #[test]
+    fn documents_follow_the_house_style() {
+        let mut doc = open_document("s/v1", "quick", 0xab);
+        push_field(&mut doc, "n", &Json::U64(3));
+        push_array(&mut doc, "none", Vec::<String>::new());
+        push_array(&mut doc, "rows", ["{\"a\":1}", "{\"a\":2}"]);
+        close_document(&mut doc);
+        assert_eq!(
+            doc,
+            "{\n  \"schema\": \"s/v1\",\n  \"label\": \"quick\",\n  \"fingerprint\": \
+             \"00000000000000ab\",\n  \"n\": 3,\n  \"none\": [\n  ],\n  \"rows\": [\n    \
+             {\"a\":1},\n    {\"a\":2}\n  ]\n}\n"
+        );
     }
 
     #[test]

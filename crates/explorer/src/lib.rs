@@ -12,7 +12,7 @@
 //!   [`TreeMaintenance`](crescent_accel::TreeMaintenance) policies, and
 //!   every [`StreamScenario`](crescent::workload::StreamScenario);
 //! * [`run_sweep`] — expands the grid and runs every point through the
-//!   streaming engine on a `std::thread::scope` worker pool, with the
+//!   streaming engine on the shared [`run_pool`] worker pool, with the
 //!   per-scenario frame rendering and the brute-force recall oracle
 //!   computed once and shared;
 //! * [`SweepReport`] — a deterministic, schema-versioned JSON report
@@ -35,6 +35,10 @@
 //!   module docs for the three guarantees keeping measured time out of
 //!   the gated bytes).
 //!
+//! The grid-runner core is shared with `crescent-serve`: one worker pool
+//! ([`run_pool`]), one FNV-1a hasher ([`Fnv1a`], [`fingerprint`]) and
+//! one house-style JSON writer ([`json`]).
+//!
 //! # Example
 //!
 //! ```
@@ -54,19 +58,23 @@
 
 #![warn(missing_docs)]
 
+pub mod fnv;
 pub mod json;
 pub mod merge;
+pub mod pool;
 pub mod report;
 pub mod runner;
 pub mod spec;
 pub mod timings;
 
+pub use fnv::{fingerprint, Fnv1a};
 pub use json::Json;
 pub use merge::{merge_shards, ShardFile};
+pub use pool::{default_workers, pool_size, run_pool, Pooled};
 pub use report::{diff_reports, spec_fingerprint, ShardInfo, SweepReport, SweepRow, SCHEMA};
 pub use runner::{
-    default_workers, run_sweep, run_sweep_shard, run_sweep_shard_timed, run_sweep_timed,
-    run_sweep_with_stats, SweepRunStats,
+    run_sweep, run_sweep_shard, run_sweep_shard_timed, run_sweep_timed, run_sweep_with_stats,
+    SweepRunStats,
 };
 pub use spec::{maintenance_label, SweepPoint, SweepSpec};
 pub use timings::{SweepTimings, TIMINGS_SCHEMA};

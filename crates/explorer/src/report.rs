@@ -6,7 +6,8 @@ use serde::{Deserialize, Serialize};
 
 use crescent_memsim::EnergyLedger;
 
-use crate::json::Json;
+use crate::fnv::fingerprint;
+use crate::json::{close_document, open_document, push_array, push_field, Json};
 use crate::spec::SweepSpec;
 
 /// Schema identifier embedded in every report. Bump the `/v4` suffix on
@@ -238,23 +239,12 @@ pub struct SweepReport {
 /// [`merge_shards`](crate::merge_shards) uses to refuse mixing shards
 /// of different sweeps.
 pub fn spec_fingerprint(spec: &SweepSpec) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for part in [
+    fingerprint(&[
         SCHEMA,
-        spec.label.as_str(),
+        &spec.label,
         &workload_json(spec).to_compact(),
         &grid_json(spec).to_compact(),
-    ] {
-        for byte in part.bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-        h ^= b'\n' as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    ])
 }
 
 impl SweepReport {
@@ -412,17 +402,10 @@ pub(crate) fn shard_json(shard: Option<ShardInfo>, rows: usize, points: usize) -
 /// schema, label, spec fingerprint, shard coordinates, workload echo,
 /// grid echo — one `  "key": value,` line each.
 pub(crate) fn render_header(spec: &SweepSpec, shard: Option<ShardInfo>, rows: usize) -> String {
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": {},\n", Json::from(SCHEMA).to_compact()));
-    out.push_str(&format!("  \"label\": {},\n", Json::from(spec.label.as_str()).to_compact()));
-    out.push_str(&format!("  \"fingerprint\": \"{:016x}\",\n", spec_fingerprint(spec)));
-    out.push_str(&format!(
-        "  \"shard\": {},\n",
-        shard_json(shard, rows, spec.num_points()).to_compact()
-    ));
-    out.push_str(&format!("  \"workload\": {},\n", workload_json(spec).to_compact()));
-    out.push_str(&format!("  \"grid\": {},\n", grid_json(spec).to_compact()));
+    let mut out = open_document(SCHEMA, &spec.label, spec_fingerprint(spec));
+    push_field(&mut out, "shard", &shard_json(shard, rows, spec.num_points()));
+    push_field(&mut out, "workload", &workload_json(spec));
+    push_field(&mut out, "grid", &grid_json(spec));
     out
 }
 
@@ -431,24 +414,16 @@ pub(crate) fn render_header(spec: &SweepSpec, shard: Option<ShardInfo>, rows: us
 /// compact per-row objects WITHOUT indentation or trailing commas.
 pub(crate) fn render_body(out: &mut String, row_lines: &[String], fronts: &[(String, Vec<usize>)]) {
     out.reserve(256 * (row_lines.len() + 8));
-    out.push_str("  \"rows\": [\n");
-    for (i, line) in row_lines.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(line);
-        out.push_str(if i + 1 < row_lines.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"pareto\": [\n");
-    for (i, (scenario, rows)) in fronts.iter().enumerate() {
-        let front = Json::Object(vec![
+    push_array(out, "rows", row_lines);
+    let fronts = fronts.iter().map(|(scenario, rows)| {
+        Json::Object(vec![
             ("scenario", Json::from(scenario.as_str())),
             ("rows", Json::Array(rows.iter().map(|&r| Json::U64(r as u64)).collect())),
-        ]);
-        out.push_str("    ");
-        out.push_str(&front.to_compact());
-        out.push_str(if i + 1 < fronts.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
+        ])
+        .to_compact()
+    });
+    push_array(out, "pareto", fronts);
+    close_document(out);
 }
 
 /// Exact report comparator: `None` when `fresh` is byte-identical to

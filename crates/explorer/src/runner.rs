@@ -1,6 +1,6 @@
 //! The parallel sweep executor: expands a [`SweepSpec`], renders and
 //! brute-force-solves each scenario's frame stream once, then fans the
-//! grid points out over a `std::thread::scope` worker pool.
+//! grid points out over the shared worker pool ([`run_pool`]).
 //!
 //! Since the streaming wavefront learned the unified banked-arbitration
 //! model, ONE `h_e`-sensitive streaming pass per point carries every
@@ -15,14 +15,14 @@
 //!
 //! The report is a pure function of the spec, whatever the worker count:
 //! every grid point is simulated independently (single-threaded, seeded,
-//! entirely modeled — no wall-clock anywhere), workers claim points by
-//! atomic index but write each row into its own pre-allocated slot, and
-//! the report is assembled in grid order. Two runs — or a 1-worker and
-//! an N-worker run — therefore serialize to byte-identical JSON, which
-//! is what lets the CI gate compare reports with an exact comparator.
+//! entirely modeled — no wall-clock anywhere), and the pool hands the
+//! rows back in grid order whatever order the workers finished them in.
+//! Two runs — or a 1-worker and an N-worker run — therefore serialize
+//! to byte-identical JSON, which is what lets the CI gate compare
+//! reports with an exact comparator.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -34,6 +34,8 @@ use crescent_accel::{
 use crescent_kdtree::KdTree;
 use crescent_pointcloud::{Neighbor, OracleIndex, Point3, PointCloud};
 
+use crate::fnv::Fnv1a;
+use crate::pool::run_pool;
 use crate::report::{ShardInfo, SweepReport, SweepRow};
 use crate::spec::{maintenance_label, SweepPoint, SweepSpec};
 use crate::timings::SweepTimings;
@@ -74,6 +76,11 @@ type EngineKey = (usize, usize, usize, usize, u64, usize, usize);
 /// — PE count, banking, elision, DRAM bandwidth, aggregation — cannot
 /// touch maintenance, which is exactly why the quick grid's 16 points
 /// per scenario collapse onto 2 tree sequences.
+///
+/// The key names what maintenance reads, not what a search over the
+/// trees reads: two-stage search results also depend on the granted
+/// `h_t`, so nothing derived from a point's neighbor sets may be keyed
+/// on it.
 type TreeKey = (usize, bool, u64, usize);
 
 fn tree_key(scenario_idx: usize, maintenance: TreeMaintenance, granted_h_t: usize) -> TreeKey {
@@ -82,28 +89,6 @@ fn tree_key(scenario_idx: usize, maintenance: TreeMaintenance, granted_h_t: usiz
         TreeMaintenance::Refit { rebuild_threshold } => {
             (scenario_idx, true, rebuild_threshold.to_bits(), granted_h_t)
         }
-    }
-}
-
-/// The row columns derived purely from a point's neighbor sets. At
-/// `h_e = 0` no fetch is ever elided, so the stream's neighbor sets are
-/// bit-identical across every remaining knob (the fuzz-tested
-/// h_e = 0 bit-identity invariant) — a pure function of the
-/// maintained-tree sequence — and these columns are memoized on
-/// [`TreeKey`]. The digest walk is a serial FNV chain over every
-/// neighbor, so recomputing it per sibling row is real wall-clock.
-#[derive(Clone, Copy)]
-struct ResultStats {
-    neighbors: usize,
-    recall: f64,
-    digest: u64,
-}
-
-fn result_stats(neighbor_sets: &[Vec<Vec<Neighbor>>], exact: &ExactSets) -> ResultStats {
-    ResultStats {
-        neighbors: neighbor_sets.iter().flatten().map(Vec::len).sum(),
-        recall: recall(neighbor_sets, exact),
-        digest: digest(neighbor_sets),
     }
 }
 
@@ -117,12 +102,6 @@ struct EnginePass {
     nodes_elided: usize,
     recall: f64,
     digest: u64,
-}
-
-/// A reasonable worker count for the local machine, capped so the quick
-/// sweep does not oversubscribe CI runners.
-pub fn default_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
 }
 
 /// Execution statistics of one sweep (or shard) run — operational
@@ -255,60 +234,27 @@ fn run_points(
         })
         .collect();
 
-    let workers = workers.clamp(1, points.len().max(1));
-    let next = AtomicUsize::new(0);
     let engine_runs = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<SweepRow>>> = points.iter().map(|_| Mutex::new(None)).collect();
-    let point_clocks: Vec<AtomicU64> = points.iter().map(|_| AtomicU64::new(0)).collect();
     let engine_memo: Mutex<HashMap<EngineKey, EnginePass>> = Mutex::new(HashMap::new());
     let tree_memo: Mutex<HashMap<TreeKey, Arc<Vec<MaintainedTree>>>> = Mutex::new(HashMap::new());
-    let result_memo: Mutex<HashMap<TreeKey, ResultStats>> = Mutex::new(HashMap::new());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(point) = points.get(i) else { break };
-                let cache =
-                    caches[point.scenario_idx].as_ref().expect("needed scenario cache built");
-                let point_start = Instant::now();
-                let row = run_point(
-                    spec,
-                    point,
-                    cache,
-                    &engine_memo,
-                    &tree_memo,
-                    &result_memo,
-                    &engine_runs,
-                );
-                point_clocks[i].store(point_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                *slots[i].lock().expect("row slot poisoned") = Some(row);
-            });
-        }
+    let pooled = run_pool(points, workers, |point| {
+        let cache = caches[point.scenario_idx].as_ref().expect("needed scenario cache built");
+        run_point(spec, point, cache, &engine_memo, &tree_memo, &engine_runs)
     });
 
-    let rows: Vec<SweepRow> = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner().expect("row slot poisoned").expect("every claimed point completed")
-        })
-        .collect();
     let timings = SweepTimings {
         total_nanos: run_start.elapsed().as_nanos() as u64,
         setup,
-        points: points
-            .iter()
-            .zip(&point_clocks)
-            .map(|(point, clock)| (point.index, clock.load(Ordering::Relaxed)))
-            .collect(),
+        points: points.iter().map(|point| point.index).zip(pooled.nanos).collect(),
     };
     let stats = SweepRunStats {
         points: points.len(),
-        workers,
+        workers: pooled.workers,
         engine_passes: engine_runs.load(Ordering::Relaxed),
         setup_nanos: timings.setup_nanos(),
         point_nanos: timings.point_nanos(),
     };
-    (rows, stats, timings)
+    (pooled.results, stats, timings)
 }
 
 /// Simulates one grid point and derives its report row.
@@ -348,7 +294,6 @@ fn run_point(
     cache: &ScenarioCache,
     engine_memo: &Mutex<HashMap<EngineKey, EnginePass>>,
     tree_memo: &Mutex<HashMap<TreeKey, Arc<Vec<MaintainedTree>>>>,
-    result_memo: &Mutex<HashMap<TreeKey, ResultStats>>,
     engine_runs: &AtomicUsize,
 ) -> SweepRow {
     let mut config = point.config().expect("spec validation checked every grid point");
@@ -390,24 +335,6 @@ fn run_point(
     });
     let (neighbor_sets, report) =
         run_frame_stream_on_trees(&inputs, &trees, &search, knobs, &config);
-
-    // The neighbor-set-derived columns. At h_e = 0 they are shared
-    // across every sibling point of the tree sequence (see
-    // [`ResultStats`]); the sets themselves still come from this
-    // point's own stream pass above, so the memo only skips re-deriving
-    // identical statistics, never the simulation.
-    let results = if point.elision_depth == 0 {
-        let memoized = result_memo.lock().expect("result memo poisoned").get(&tkey).copied();
-        let results = memoized.unwrap_or_else(|| {
-            let s = result_stats(&neighbor_sets, &cache.exact);
-            result_memo.lock().expect("result memo poisoned").insert(tkey, s);
-            s
-        });
-        debug_assert_eq!(results.digest, digest(&neighbor_sets), "h_e = 0 bit-identity violated");
-        results
-    } else {
-        result_stats(&neighbor_sets, &cache.exact)
-    };
 
     let key: EngineKey = (
         point.scenario_idx,
@@ -460,7 +387,7 @@ fn run_point(
         top_height_used,
         frames: cache.frames.len(),
         queries: report.total_queries(),
-        neighbors: results.neighbors,
+        neighbors: neighbor_sets.iter().flatten().map(Vec::len).sum(),
         pipelined_cycles: report.pipelined_cycles,
         serial_cycles: report.serial_cycles,
         build_cycles: report.total_build_cycles(),
@@ -476,8 +403,8 @@ fn run_point(
         full_rebuilds: report.frames.iter().filter(|f| f.full_rebuild).count(),
         subtrees_rebuilt: report.frames.iter().map(|f| f.subtrees_rebuilt).sum(),
         energy: *report.ledger.total(),
-        recall: results.recall,
-        digest: results.digest,
+        recall: recall(&neighbor_sets, &cache.exact),
+        digest: digest(&neighbor_sets),
         engine_cycles: engine.cycles,
         engine_dram_bytes: engine.dram_bytes,
         nodes_visited: engine.nodes_visited,
@@ -551,27 +478,12 @@ fn recall(approx: &[Vec<Vec<Neighbor>>], exact: &[Vec<Vec<usize>>]) -> f64 {
 /// per-query result counts, and each neighbor's index and exact distance
 /// bits. Equal digests ⇔ bit-identical results (up to 64-bit collision).
 fn digest(neighbor_sets: &[Vec<Vec<Neighbor>>]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(neighbor_sets.len() as u64);
+    let mut h = Fnv1a::default();
+    h.word(neighbor_sets.len() as u64);
     for frame in neighbor_sets {
-        eat(frame.len() as u64);
-        for hits in frame {
-            eat(hits.len() as u64);
-            for n in hits {
-                eat(n.index as u64);
-                eat(n.dist2.to_bits() as u64);
-            }
-        }
+        h.neighbor_lists(frame);
     }
-    h
+    h.finish()
 }
 
 #[cfg(test)]
@@ -754,16 +666,6 @@ mod tests {
         for ((index, _), row) in shard_timings.points.iter().zip(&shard.rows) {
             assert_eq!(*index, row.index);
         }
-    }
-
-    #[test]
-    fn stats_report_the_effective_worker_count() {
-        let spec = tiny_spec();
-        let (report, stats) = run_sweep_with_stats(&spec, 64).expect("sweep runs");
-        assert_eq!(stats.points, report.rows.len());
-        assert_eq!(stats.workers, report.rows.len(), "pool clamps to the point count");
-        let (_, one) = run_sweep_with_stats(&spec, 1).expect("sweep runs");
-        assert_eq!(one.workers, 1);
     }
 
     #[test]

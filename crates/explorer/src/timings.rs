@@ -25,9 +25,7 @@
 //! of the run that produced it, so a stray sidecar can always be matched
 //! to (or rejected against) its report.
 
-use std::fmt::Write as _;
-
-use crate::json::Json;
+use crate::json::{close_document, open_document, push_array, push_field, Json};
 use crate::report::{shard_json, spec_fingerprint, ShardInfo};
 use crate::spec::SweepSpec;
 
@@ -77,48 +75,32 @@ impl SweepTimings {
     /// One line per section, like the report — but these bytes are for
     /// humans and dashboards, never for the exact comparator.
     pub fn to_json(&self, spec: &SweepSpec, shard: Option<ShardInfo>) -> String {
-        let mut out = String::with_capacity(64 * (self.points.len() + self.setup.len() + 8));
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": {},", Json::from(TIMINGS_SCHEMA).to_compact());
-        let _ = writeln!(out, "  \"label\": {},", Json::from(spec.label.as_str()).to_compact());
-        let _ = writeln!(out, "  \"fingerprint\": \"{:016x}\",", spec_fingerprint(spec));
-        let _ = writeln!(
-            out,
-            "  \"shard\": {},",
-            shard_json(shard, self.points.len(), spec.num_points()).to_compact()
-        );
-        let _ = writeln!(out, "  \"total_nanos\": {},", self.total_nanos);
-        let _ = writeln!(out, "  \"setup_nanos\": {},", self.setup_nanos());
-        let _ = writeln!(out, "  \"point_nanos\": {},", self.point_nanos());
-        out.push_str("  \"setup\": [\n");
-        for (i, (scenario, nanos)) in self.setup.iter().enumerate() {
-            let entry = Json::Object(vec![
+        let mut out = open_document(TIMINGS_SCHEMA, &spec.label, spec_fingerprint(spec));
+        push_field(&mut out, "shard", &shard_json(shard, self.points.len(), spec.num_points()));
+        push_field(&mut out, "total_nanos", &Json::U64(self.total_nanos));
+        push_field(&mut out, "setup_nanos", &Json::U64(self.setup_nanos()));
+        push_field(&mut out, "point_nanos", &Json::U64(self.point_nanos()));
+        let setup = self.setup.iter().map(|(scenario, nanos)| {
+            Json::Object(vec![
                 ("scenario", Json::from(scenario.as_str())),
                 ("nanos", Json::U64(*nanos)),
-            ]);
-            let _ = writeln!(
-                out,
-                "    {}{}",
-                entry.to_compact(),
-                if i + 1 < self.setup.len() { "," } else { "" }
-            );
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"points\": [\n");
-        for (i, &(row, nanos)) in self.points.iter().enumerate() {
-            let entry =
-                Json::Object(vec![("row", Json::U64(row as u64)), ("nanos", Json::U64(nanos))]);
-            let _ = writeln!(
-                out,
-                "    {}{}",
-                entry.to_compact(),
-                if i + 1 < self.points.len() { "," } else { "" }
-            );
-        }
-        out.push_str("  ]\n");
-        out.push_str("}\n");
+            ])
+            .to_compact()
+        });
+        push_array(&mut out, "setup", setup);
+        push_array(&mut out, "points", point_lines(&self.points));
+        close_document(&mut out);
         out
     }
+}
+
+/// The `points` section of a timings sidecar: one compact
+/// `{"row":..,"nanos":..}` object per grid point. Shared with the serve
+/// layer's sidecar, whose per-point section has the same layout.
+pub fn point_lines(points: &[(usize, u64)]) -> impl Iterator<Item = String> + '_ {
+    points.iter().map(|&(row, nanos)| {
+        Json::Object(vec![("row", Json::U64(row as u64)), ("nanos", Json::U64(nanos))]).to_compact()
+    })
 }
 
 #[cfg(test)]

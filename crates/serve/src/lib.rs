@@ -39,7 +39,7 @@
 //!   deadline and energy accounting, knob trajectories.
 //! - [`report`]: schema-versioned JSON in the explorer's exact-diff
 //!   house style.
-//! - [`runner`]: the worker-pool executor.
+//! - [`runner`]: the grid executor, on the explorer's shared worker pool.
 //! - [`timings`]: the wall-clock sidecar (never in the report bytes).
 
 #![warn(missing_docs)]
@@ -58,9 +58,7 @@ pub use ledger::{
     ServiceLedger, TenantLedger,
 };
 pub use report::{serve_fingerprint, ServeReport, ServeRow, TenantRow, SCHEMA};
-pub use runner::{
-    default_workers, run_serve, run_serve_timed, run_serve_with_stats, ServeRunStats,
-};
+pub use runner::{run_serve, run_serve_timed, run_serve_with_stats, ServeRunStats};
 pub use scheduler::{
     run_service, run_service_controlled, MaintenanceCost, ServiceContext, ServiceOutcome,
 };

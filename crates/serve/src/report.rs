@@ -5,7 +5,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use crescent_explorer::Json;
+use crescent_explorer::json::{close_document, open_document, push_array, push_field};
+use crescent_explorer::{fingerprint, Json};
 use crescent_memsim::EnergyLedger;
 
 use crate::ledger::ServiceLedger;
@@ -283,23 +284,12 @@ pub struct ServeReport {
 /// they were produced by byte-identical spec echoes — how the gate's
 /// comparator distinguishes "different spec" from metric drift.
 pub fn serve_fingerprint(spec: &ServeSpec) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for part in [
+    fingerprint(&[
         SCHEMA,
-        spec.label.as_str(),
+        &spec.label,
         &workload_json(spec).to_compact(),
         &grid_json(spec).to_compact(),
-    ] {
-        for byte in part.bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-        h ^= b'\n' as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    ])
 }
 
 /// The workload echo of the report header: the shared map, the tenant
@@ -357,23 +347,12 @@ impl ServeReport {
     /// the report — byte-identical across runs, worker counts, and
     /// machines.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024 + 512 * self.rows.len());
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": {},\n", Json::from(SCHEMA).to_compact()));
-        out.push_str(&format!(
-            "  \"label\": {},\n",
-            Json::from(self.spec.label.as_str()).to_compact()
-        ));
-        out.push_str(&format!("  \"fingerprint\": \"{:016x}\",\n", serve_fingerprint(&self.spec)));
-        out.push_str(&format!("  \"workload\": {},\n", workload_json(&self.spec).to_compact()));
-        out.push_str(&format!("  \"grid\": {},\n", grid_json(&self.spec).to_compact()));
-        out.push_str("  \"rows\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(&row.to_json().to_compact());
-            out.push_str(if i + 1 < self.rows.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]\n}\n");
+        let spec = &self.spec;
+        let mut out = open_document(SCHEMA, &spec.label, serve_fingerprint(spec));
+        push_field(&mut out, "workload", &workload_json(spec));
+        push_field(&mut out, "grid", &grid_json(spec));
+        push_array(&mut out, "rows", self.rows.iter().map(|row| row.to_json().to_compact()));
+        close_document(&mut out);
         out
     }
 }

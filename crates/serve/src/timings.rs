@@ -8,8 +8,8 @@
 //! serve --timings <path>`), under their own schema, and are never an
 //! input to `--check`.
 
-use std::fmt::Write as _;
-
+use crescent_explorer::json::{close_document, open_document, push_array, push_field};
+use crescent_explorer::timings::point_lines;
 use crescent_explorer::Json;
 
 use crate::report::serve_fingerprint;
@@ -52,27 +52,12 @@ impl ServeTimings {
     /// label, fingerprint) followed by the measurements. For humans and
     /// dashboards, never for the exact comparator.
     pub fn to_json(&self, spec: &ServeSpec) -> String {
-        let mut out = String::with_capacity(64 * (self.points.len() + 8));
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": {},", Json::from(TIMINGS_SCHEMA).to_compact());
-        let _ = writeln!(out, "  \"label\": {},", Json::from(spec.label.as_str()).to_compact());
-        let _ = writeln!(out, "  \"fingerprint\": \"{:016x}\",", serve_fingerprint(spec));
-        let _ = writeln!(out, "  \"total_nanos\": {},", self.total_nanos);
-        let _ = writeln!(out, "  \"context_nanos\": {},", self.context_nanos);
-        let _ = writeln!(out, "  \"point_nanos\": {},", self.point_nanos());
-        out.push_str("  \"points\": [\n");
-        for (i, &(row, nanos)) in self.points.iter().enumerate() {
-            let entry =
-                Json::Object(vec![("row", Json::U64(row as u64)), ("nanos", Json::U64(nanos))]);
-            let _ = writeln!(
-                out,
-                "    {}{}",
-                entry.to_compact(),
-                if i + 1 < self.points.len() { "," } else { "" }
-            );
-        }
-        out.push_str("  ]\n");
-        out.push_str("}\n");
+        let mut out = open_document(TIMINGS_SCHEMA, &spec.label, serve_fingerprint(spec));
+        push_field(&mut out, "total_nanos", &Json::U64(self.total_nanos));
+        push_field(&mut out, "context_nanos", &Json::U64(self.context_nanos));
+        push_field(&mut out, "point_nanos", &Json::U64(self.point_nanos()));
+        push_array(&mut out, "points", point_lines(&self.points));
+        close_document(&mut out);
         out
     }
 }

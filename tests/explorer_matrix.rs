@@ -11,7 +11,9 @@
 //!   every scenario (the refit-correctness invariant, observed through
 //!   the report digests);
 //! * (b) the report is byte-identical across two runs and across
-//!   worker counts (1 vs. N).
+//!   worker counts (1 vs. N);
+//! * (c) on a grid with several granted `h_t`, every rebuild/`h_e = 0`
+//!   row carries its own point's results, whatever ran before it.
 
 use crescent::workload::StreamScenario;
 use crescent_accel::TreeMaintenance;
@@ -178,4 +180,43 @@ fn refit_pays_off_exactly_where_the_scenarios_say_it_should() {
     for &scenario in StreamScenario::canonical_matrix().iter() {
         assert_eq!(rebuilds(scenario.label(), "rebuild"), report.rows[0].frames);
     }
+}
+
+/// One scenario, rebuild only, `h_e = 0`, and three top-tree heights
+/// that the 6 KiB tree buffer grants as three different `h_t`.
+fn h_t_probe_spec() -> SweepSpec {
+    let mut spec = matrix_spec();
+    spec.label = "h_t-probe".to_string();
+    spec.scenarios = vec![StreamScenario::Sweep];
+    spec.maintenance = vec![TreeMaintenance::RebuildEveryFrame];
+    spec.top_heights = vec![2, 4, 6];
+    spec.elision_depths = vec![0];
+    spec
+}
+
+#[test]
+fn h_e_0_rows_carry_their_own_h_t_results() {
+    // Rebuild trees do not depend on h_t, but two-stage search results
+    // do, even at h_e = 0: a row's digest, recall and neighbor count
+    // must be those of its own point, not of a sibling height that
+    // happened to run first.
+    let spec = h_t_probe_spec();
+    let report = run_sweep(&spec, 1).expect("probe spec is valid");
+    assert_eq!(report.rows.len(), 3);
+    let mut grants: Vec<usize> = report.rows.iter().map(|r| r.top_height_used).collect();
+    grants.sort_unstable();
+    grants.dedup();
+    assert_eq!(grants.len(), 3, "the probe must grant three distinct heights: {grants:?}");
+    for row in &report.rows {
+        let mut single = spec.clone();
+        single.top_heights = vec![row.top_height];
+        let alone = run_sweep(&single, 1).expect("single-point spec is valid");
+        let alone = &alone.rows[0];
+        assert_eq!(alone.top_height_used, row.top_height_used);
+        assert_eq!(row.digest, alone.digest, "h_t {}: digest", row.top_height);
+        assert_eq!(row.recall, alone.recall, "h_t {}: recall", row.top_height);
+        assert_eq!(row.neighbors, alone.neighbors, "h_t {}: neighbors", row.top_height);
+    }
+    let three = run_sweep(&spec, 3).expect("probe spec is valid");
+    assert_eq!(report.to_json(), three.to_json(), "worker count must not leak into the report");
 }

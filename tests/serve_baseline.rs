@@ -12,7 +12,8 @@
 //! bench/serve-baseline.json`), commit it, and the schema-versioned
 //! header documents the change.
 
-use crescent_serve::{default_workers, run_serve, ServeSpec};
+use crescent_explorer::default_workers;
+use crescent_serve::{run_serve, ServeSpec};
 
 #[cfg_attr(
     debug_assertions,
