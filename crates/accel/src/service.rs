@@ -264,35 +264,60 @@ mod tests {
     #[test]
     fn wavefront_matches_the_stream_drivers_search_physics() {
         // a one-segment wavefront must agree with the single-stream
-        // driver on results, slot timing, and search/agg energy
+        // driver on a zero-build frame — results, slot timing, and every
+        // energy category — across h_e, aggregation elision and
+        // descendant reuse
         let cloud = random_cloud(3000, 11);
         let queries = random_queries(96, 12);
         let tree = KdTree::build(&cloud);
-        let cfg = AcceleratorConfig::default();
         let knobs = CrescentKnobs::default();
-
+        let zero_build = [crate::streaming::MaintainedTree {
+            tree: tree.clone(),
+            build_cycles: 0,
+            build_dram_bytes: 0,
+            subtrees_rebuilt: 0,
+            full_rebuild: true,
+        }];
+        let frames: Vec<(&PointCloud, &[Point3])> = vec![(&cloud, queries.as_slice())];
         let mut batch = TaggedBatch::new();
         batch.push_segment(0, &queries);
-        let mut inst = ServiceInstance::new();
-        let (tagged, wf) = inst.run_wavefront(&tree, &batch, &search(), knobs, &cfg);
 
-        let frames: Vec<(&PointCloud, &[Point3])> = vec![(&cloud, queries.as_slice())];
-        let (stream_results, report) =
-            crate::streaming::run_frame_stream(&frames, &search(), knobs, &cfg);
-        let frame = &report.frames[0];
+        for h_e in [0usize, 4] {
+            for aggregation_elision in [false, true] {
+                for descendant_reuse in [false, true] {
+                    let case =
+                        format!("h_e {h_e} agg {aggregation_elision} reuse {descendant_reuse}");
+                    let cfg = AcceleratorConfig { aggregation_elision, ..Default::default() };
+                    let search =
+                        StreamSearchConfig { elision_depth: h_e, descendant_reuse, ..search() };
+                    let mut inst = ServiceInstance::new();
+                    let (tagged, wf) = inst.run_wavefront(&tree, &batch, &search, knobs, &cfg);
+                    let (stream_results, report) = crate::streaming::run_frame_stream_on_trees(
+                        &frames,
+                        &zero_build,
+                        &search,
+                        knobs,
+                        &cfg,
+                    );
+                    let frame = &report.frames[0];
 
-        assert_eq!(tagged[0].1, stream_results[0], "identical neighbor sets");
-        assert_eq!(wf.compute_cycles, frame.compute_cycles);
-        assert_eq!(wf.agg_cycles, frame.agg_cycles);
-        assert_eq!(wf.dma_cycles, frame.dma_cycles);
-        assert_eq!(wf.slot_cycles, frame.slot_cycles);
-        assert_eq!(wf.latency_cycles, frame.slot_cycles + PE_PIPELINE_DEPTH);
-        // the wavefront carries no build charges; everything else matches
-        assert_eq!(wf.energy.tree_build, 0.0);
-        assert_eq!(wf.energy.sram_search, frame.energy.sram_search);
-        assert_eq!(wf.energy.sram_aggregation, frame.energy.sram_aggregation);
-        assert_eq!(inst.busy_cycles, wf.latency_cycles);
-        assert_eq!(inst.wavefronts, 1);
+                    assert_eq!(tagged[0].1, stream_results[0], "{case}: neighbor sets");
+                    assert_eq!(wf.neighbors, frame.neighbors, "{case}");
+                    assert_eq!(wf.search, frame.search, "{case}");
+                    assert_eq!(wf.compute_cycles, frame.compute_cycles, "{case}");
+                    assert_eq!(wf.agg_cycles, frame.agg_cycles, "{case}");
+                    assert_eq!(wf.dma_cycles, frame.dma_cycles, "{case}");
+                    assert_eq!(wf.slot_cycles, frame.slot_cycles, "{case}");
+                    assert_eq!(wf.latency_cycles, frame.slot_cycles + PE_PIPELINE_DEPTH, "{case}");
+                    assert_eq!(frame.build_slot_cycles, 0, "{case}");
+                    assert!(wf.energy.dram_streaming > 0.0, "{case}");
+                    assert_eq!(wf.energy.dram_streaming, frame.energy.dram_streaming, "{case}");
+                    assert_eq!(wf.energy, frame.energy, "{case}: every energy category");
+                    assert_eq!(inst.busy_cycles, wf.latency_cycles, "{case}");
+                    assert_eq!(inst.wavefronts, 1, "{case}");
+                }
+            }
+        }
     }
 
     #[test]
