@@ -19,8 +19,10 @@
 //!   with the current frame's search, per-frame cycle and energy
 //!   accounting);
 //! * [`service`] — the multi-tenant fleet instance model: cross-tenant
-//!   tagged wavefronts executed with the streaming driver's search
-//!   physics, dispatched by the `crescent-serve` scheduler;
+//!   tagged wavefronts dispatched by the `crescent-serve` scheduler.
+//!   An instance and the streaming driver run one shared crate-private
+//!   wavefront kernel (resplit, banked batch search, Point-Buffer
+//!   gather, double-buffered slot, energy), so they cannot drift apart;
 //! * [`config`] — the Sec 6 hardware configuration (buffer sizes, banking,
 //!   PE count) including the Sec 3.3 top-tree-height feasibility range.
 //!
@@ -50,6 +52,7 @@ pub mod pipeline;
 pub mod service;
 pub mod streaming;
 pub mod systolic;
+mod wavefront;
 
 pub use aggregation::{conflict_rate_single_issue, simulate_aggregation, AggregationReport};
 pub use config::{AcceleratorConfig, ConfigBuilder, ConfigError};

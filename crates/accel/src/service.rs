@@ -2,34 +2,27 @@
 //! modeled Crescent accelerator per instance, executing cross-tenant
 //! *wavefronts* (tenant-tagged query batches against a shared map tree).
 //!
-//! The per-wavefront timing and energy model is the search half of the
-//! single-stream driver ([`crate::run_frame_stream_on_trees`]) — same
-//! [`SplitTree::resplit`] top/sub split, same banked
-//! [`search_batch`](SplitTree::search_batch) arbitration, same
-//! Point-Buffer aggregation gather, same
-//! `max(compute + aggregation, DMA)` double-buffered slot, same energy
-//! charges. It is deliberately *not* shared code with that driver's
-//! loop, because the scheduling differs (a service dispatches wavefronts
-//! when tenants are ready, a stream runs frames back to back), but every
-//! formula is kept field-for-field identical so a one-tenant service and
-//! a solo stream agree on the modeled physics.
+//! An instance runs the same wavefront kernel as the single-stream
+//! driver ([`crate::run_frame_stream_on_trees`]) — one resplit, banked
+//! search, Point-Buffer gather, double-buffered slot and energy charge
+//! — on the flat concatenated query slice of a [`TaggedBatch`], then
+//! demultiplexes the results per segment with
+//! [`TaggedBatch::split_results`]. Only the schedule differs: a service
+//! dispatches wavefronts when tenants are ready and pays the pipeline
+//! fill per wavefront, a stream runs frames back to back.
 //!
 //! Tree **maintenance** is not modeled here: the service maintains one
 //! shared map tree per tick (via [`crate::maintain_tree_sequence`]) and
 //! charges it once, fleet-wide — an instance only ever *searches*.
 
-use crescent_kdtree::{
-    BatchSearchConfig, BatchSearchStats, BatchState, KdTree, SplitTree, TaggedBatch, TaggedResults,
-    NODE_BYTES,
-};
+use crescent_kdtree::{BatchSearchStats, KdTree, TaggedBatch, TaggedResults};
 use crescent_memsim::EnergyLedger;
-use crescent_pointcloud::POINT_BYTES;
 
-use crate::aggregation::simulate_aggregation;
 use crate::config::AcceleratorConfig;
 use crate::engine::PE_PIPELINE_DEPTH;
 use crate::pipeline::CrescentKnobs;
 use crate::streaming::StreamSearchConfig;
+use crate::wavefront::WavefrontKernel;
 
 /// Modeled outcome of one cross-tenant wavefront on one instance.
 #[derive(Clone, Debug)]
@@ -64,9 +57,7 @@ pub struct WavefrontReport {
 /// search state plus its dispatch schedule.
 #[derive(Debug, Default)]
 pub struct ServiceInstance {
-    state: BatchState,
-    roots_pool: Vec<usize>,
-    neighbor_lists: Vec<Vec<usize>>,
+    kernel: WavefrontKernel,
     /// The modeled cycle at which this instance finishes its current
     /// wavefront and can accept the next one.
     pub free_at: u64,
@@ -83,9 +74,9 @@ impl ServiceInstance {
     }
 
     /// Executes one tenant-tagged wavefront against the shared map
-    /// `tree`, returning per-segment neighbor lists (via
-    /// [`SplitTree::search_batch_tagged`], so tags cannot perturb the
-    /// engine) and the wavefront's modeled timing/energy.
+    /// `tree`, returning per-segment neighbor lists (the engine sees
+    /// only the flat query slice, so tags cannot perturb it) and the
+    /// wavefront's modeled timing/energy.
     ///
     /// The caller owns the dispatch schedule: this method models the
     /// wavefront in isolation and updates only the instance-local
@@ -117,69 +108,24 @@ impl ServiceInstance {
         knobs: CrescentKnobs,
         config: &AcceleratorConfig,
     ) -> (TaggedResults, WavefrontReport) {
-        let em = &config.energy;
-        // same clamp as the stream driver: a degenerate tree grants h_t = 0
-        let ht =
-            if tree.is_empty() { 0 } else { knobs.top_height.min(tree.height().saturating_sub(1)) };
-        let split = SplitTree::resplit(tree, ht, std::mem::take(&mut self.roots_pool))
-            .expect("clamped top height is valid");
-        let batch_cfg = BatchSearchConfig::banked(
-            search.radius,
-            search.max_neighbors,
-            config.num_pes,
-            config.tree_buffer.num_banks,
-            elision_depth,
-        )
-        .with_descendant_reuse(search.descendant_reuse);
-        let (tagged, stats) = split.search_batch_tagged(batch, &batch_cfg, &mut self.state);
-        self.roots_pool = split.into_subtree_roots();
-
-        // aggregation gathers every query's neighbor list from the
-        // banked Point Buffer, across segment boundaries — the gather
-        // unit is as tenant-blind as the search engine
-        let n = batch.len();
-        if self.neighbor_lists.len() < n {
-            self.neighbor_lists.resize_with(n, Vec::new);
-        }
-        let flat = tagged.iter().flat_map(|(_, seg)| seg.iter());
-        for (list, hits) in self.neighbor_lists.iter_mut().zip(flat) {
-            list.clear();
-            list.extend(hits.iter().map(|h| h.index));
-        }
-        let agg = simulate_aggregation(
-            &self.neighbor_lists[..n],
-            config.point_buffer,
-            config.point_buffer.num_banks,
-            config.aggregation_elision,
-        );
-
-        let compute = stats.top_fetches as u64 + stats.subtree_rounds as u64;
-        let dma = config.dram.stream_cycles(stats.dram_bytes);
-        let slot = (compute + agg.rounds).max(dma);
-        let has_work = n > 0 && !tree.is_empty();
-        let latency = if has_work { slot + PE_PIPELINE_DEPTH } else { 0 };
-
-        let mut energy = EnergyLedger::new();
-        energy.charge_dram_streaming(em, stats.dram_bytes);
-        let reads = (stats.top_fetches + stats.subtree_visits) as u64;
-        energy.charge_sram_search(em, reads * NODE_BYTES as u64);
-        energy.charge_sram_aggregation(em, agg.grants * POINT_BYTES as u64 + agg.requests * 4);
-        energy.charge_leakage(em, slot);
-
+        let pass = self.kernel.run(tree, batch.queries(), search, elision_depth, knobs, config);
+        let has_work = !batch.is_empty() && !tree.is_empty();
+        let latency = if has_work { pass.slot + PE_PIPELINE_DEPTH } else { 0 };
         self.busy_cycles += latency;
         self.wavefronts += 1;
+        let energy = pass.energy(&config.energy, 0, 0, 0);
         let report = WavefrontReport {
-            queries: n,
-            neighbors: tagged.iter().map(|(_, seg)| seg.iter().map(Vec::len).sum::<usize>()).sum(),
-            compute_cycles: compute,
-            agg_cycles: agg.rounds,
-            dma_cycles: dma,
-            slot_cycles: slot,
+            queries: batch.len(),
+            neighbors: pass.neighbors(),
+            compute_cycles: pass.compute,
+            agg_cycles: pass.agg.rounds,
+            dma_cycles: pass.dma,
+            slot_cycles: pass.slot,
             latency_cycles: latency,
-            search: stats,
+            search: pass.stats,
             energy,
         };
-        (tagged, report)
+        (batch.split_results(pass.results), report)
     }
 }
 

@@ -8,13 +8,13 @@
 //! configured [`TreeMaintenance`] policy — a full [`KdTree::build`] or an
 //! incremental [`KdTree::refit`](crescent_kdtree::refit) — and charges its
 //! cycles, DRAM bytes, and energy (nothing about tree construction is
-//! free; it is the most DRAM-intensive phase of a frame). It then splits
-//! the tree through the cheap [`SplitTree::resplit`] re-validation path
-//! and answers the frame's queries with the batched two-stage search
-//! ([`SplitTree::search_batch`]), whose wavefront descent fetches every
-//! top-tree node once per batch; a single [`BatchState`] is threaded
-//! through the whole sequence so the descent buffers are recycled and
-//! cross-frame sub-tree locality is measured.
+//! free; it is the most DRAM-intensive phase of a frame). It then runs
+//! the frame's queries through the wavefront kernel every
+//! [`crate::ServiceInstance`] also runs: the cheap
+//! [`SplitTree::resplit`] re-validation path, then the batched two-stage
+//! search ([`SplitTree::search_batch`]) that fetches every touched
+//! top-tree node once per batch. One kernel serves the whole sequence,
+//! so descent buffers are recycled and cross-frame locality is measured.
 //!
 //! # Timing model
 //!
@@ -43,11 +43,8 @@
 //!   compute whenever they fit;
 //! * the PE pipeline **fill** is paid exactly **once per stream** in
 //!   [`StreamReport::pipelined_cycles`] (and once per frame in the
-//!   standalone upper bound [`StreamReport::serial_cycles`]). The fill
-//!   used to be triple-charged — inside per-frame compute, again on the
-//!   stream total, and again in the standalone bound; the corrected
-//!   model charges it exactly once per stream / once per standalone
-//!   frame, and a frame with no work at all costs zero cycles.
+//!   standalone upper bound [`StreamReport::serial_cycles`]); a frame
+//!   with no work at all costs zero cycles.
 //!
 //! The exact bookkeeping identity (asserted in
 //! `tests/streaming_properties.rs`):
@@ -56,20 +53,20 @@
 //! bound, so they drop out of the coefficient.
 //! Energy lands in a per-frame [`StreamLedger`], with tree maintenance in
 //! its own `tree_build` category.
+//!
+//! [`SplitTree::resplit`]: crescent_kdtree::SplitTree::resplit
+//! [`SplitTree::search_batch`]: crescent_kdtree::SplitTree::search_batch
 
 use serde::{Deserialize, Serialize};
 
-use crescent_kdtree::{
-    BatchSearchConfig, BatchSearchStats, BatchState, KdTree, RefitConfig, RefitScratch, SplitTree,
-    NODE_BYTES,
-};
+use crescent_kdtree::{BatchSearchStats, KdTree, RefitConfig, RefitScratch};
 use crescent_memsim::{EnergyLedger, StreamLedger};
-use crescent_pointcloud::{Neighbor, Point3, PointCloud, POINT_BYTES};
+use crescent_pointcloud::{Neighbor, Point3, PointCloud};
 
-use crate::aggregation::simulate_aggregation;
 use crate::config::AcceleratorConfig;
 use crate::engine::PE_PIPELINE_DEPTH;
 use crate::pipeline::CrescentKnobs;
+use crate::wavefront::WavefrontKernel;
 
 /// Per-frame K-d-tree maintenance policy of [`run_frame_stream`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -121,6 +118,8 @@ pub struct StreamSearchConfig {
     /// [`SplitTree::search_one`]. Depth-from-leaves keeps the knob
     /// meaningful across frames whose tree heights differ; each frame
     /// converts it to the engine's level threshold `height − depth`.
+    ///
+    /// [`SplitTree::search_one`]: crescent_kdtree::SplitTree::search_one
     pub elision_depth: usize,
     /// Descendant reuse in the banked arbiter: an elision-eligible fetch
     /// that loses arbitration to an *ancestor* of its own node continues
@@ -335,15 +334,13 @@ impl StreamReport {
 ///
 /// Each item of `frames` is one frame's `(cloud, queries)`. Per frame the
 /// driver maintains the K-d tree under `search.maintenance` (charging
-/// build/refit cycles, DMA, and energy), re-splits it below
-/// `knobs.top_height` through the allocation-recycling
-/// [`SplitTree::resplit`] path, runs the batched two-stage search through
-/// the banked tree-buffer arbitration model (`config.num_pes` lock-step
-/// PEs over `config.tree_buffer.num_banks` banks, conflicts stalling or
-/// eliding per `search.elision_depth`), gathers the neighbor lists
-/// through the banked Point Buffer, and charges cycles and energy; the
-/// shared [`BatchState`] carries descent buffers and the cross-frame
-/// locality metric from frame to frame.
+/// build/refit cycles, DMA, and energy), then runs the wavefront kernel:
+/// re-split below `knobs.top_height`, batched two-stage search through
+/// the banked tree buffer (`config.num_pes` lock-step PEs over
+/// `config.tree_buffer.num_banks` banks, conflicts stalling or eliding
+/// per `search.elision_depth`), and the banked Point-Buffer gather. The
+/// kernel's recycled search state carries descent buffers and the
+/// cross-frame locality metric from frame to frame.
 ///
 /// At `search.elision_depth == 0` the returned neighbor lists are
 /// bit-identical to per-query [`SplitTree::search_one`] (see
@@ -357,6 +354,8 @@ impl StreamReport {
 /// and handled as an incoherent frame via the full-rebuild fallback, so
 /// results are *always* correct — incoherence costs cycles, not
 /// accuracy.
+///
+/// [`SplitTree::search_one`]: crescent_kdtree::SplitTree::search_one
 pub fn run_frame_stream(
     frames: &[(&PointCloud, &[Point3])],
     search: &StreamSearchConfig,
@@ -462,14 +461,7 @@ pub fn run_frame_stream_on_trees(
     assert_eq!(trees.len(), frames.len(), "one maintained tree per frame");
     let mut results = Vec::with_capacity(frames.len());
     let mut report = StreamReport::default();
-    let mut state = BatchState::new();
-    let em = &config.energy;
-
-    let mut roots_pool: Vec<usize> = Vec::new();
-    // recycled working memory: the aggregation unit's per-query index
-    // lists live across frames so the steady-state loop allocates
-    // nothing per frame
-    let mut neighbor_lists: Vec<Vec<usize>> = Vec::new();
+    let mut kernel = WavefrontKernel::default();
     // pipeline schedule state: when the build unit / search engine free
     // up, plus the search-completion time two frames back (the spare
     // tree buffer only frees once the search reading it finishes)
@@ -478,7 +470,6 @@ pub fn run_frame_stream_on_trees(
     let mut search_end_prev: u64 = 0;
 
     for (frame_idx, (&(cloud, queries), maintained)) in frames.iter().zip(trees).enumerate() {
-        // ---- tree maintenance (pre-computed) ----
         let MaintainedTree {
             ref tree,
             build_cycles,
@@ -486,57 +477,8 @@ pub fn run_frame_stream_on_trees(
             subtrees_rebuilt,
             full_rebuild,
         } = *maintained;
-        let tree_ref = tree;
-
-        // ---- search ----
-        let ht = if tree_ref.is_empty() {
-            0
-        } else {
-            knobs.top_height.min(tree_ref.height().saturating_sub(1))
-        };
-        let split = SplitTree::resplit(tree_ref, ht, std::mem::take(&mut roots_pool))
-            .expect("clamped top height is valid");
-        let batch_cfg = BatchSearchConfig::banked(
-            search.radius,
-            search.max_neighbors,
-            config.num_pes,
-            config.tree_buffer.num_banks,
-            search.elision_depth,
-        )
-        .with_descendant_reuse(search.descendant_reuse);
-        let (frame_results, stats) = split.search_batch(queries, &batch_cfg, &mut state);
-        roots_pool = split.into_subtree_roots();
-
-        // ---- aggregation ----
-        // The aggregation unit gathers every query's neighbor list from
-        // the banked Point Buffer; conflicted gathers serialize unless
-        // aggregation elision replicates the winner's neighbor.
-        if neighbor_lists.len() < frame_results.len() {
-            neighbor_lists.resize_with(frame_results.len(), Vec::new);
-        }
-        for (list, hits) in neighbor_lists.iter_mut().zip(&frame_results) {
-            list.clear();
-            list.extend(hits.iter().map(|n| n.index));
-        }
-        let agg = simulate_aggregation(
-            &neighbor_lists[..frame_results.len()],
-            config.point_buffer,
-            config.point_buffer.num_banks,
-            config.aggregation_elision,
-        );
-
-        // ---- timing ----
-        // Search stage: the wavefront issues one fetch per touched
-        // top-tree node (payload shared by every query on the node); the
-        // PEs then drain each sub-tree queue in lock-step through the
-        // banked tree buffer, so the round count already carries both PE
-        // parallelism and conflict serialization. No fill in here — it
-        // is charged once per stream below, and a frame with no work
-        // costs nothing.
-        let compute = stats.top_fetches as u64 + stats.subtree_rounds as u64;
-        let dma = config.dram.stream_cycles(stats.dram_bytes);
-        let slot = (compute + agg.rounds).max(dma);
-        // Build stage: internally double-buffered the same way.
+        let pass = kernel.run(tree, queries, search, search.elision_depth, knobs, config);
+        // build stage: double-buffered against its DMA like the search
         let build_dma = config.dram.stream_cycles(build_dram_bytes);
         let build_slot = build_cycles.max(build_dma);
 
@@ -548,48 +490,35 @@ pub fn run_frame_stream_on_trees(
         build_end = build_start + build_slot;
         let search_start = search_end.max(build_end);
         search_end_prev = search_end;
-        search_end = search_start + slot;
+        search_end = search_start + pass.slot;
 
-        // ---- energy ----
-        let mut energy = EnergyLedger::new();
-        energy.charge_dram_streaming(em, stats.dram_bytes + build_dram_bytes);
-        energy.charge_tree_build(em, build_cycles);
-        // only honored fetches read data out of the tree buffer; stalled
-        // re-issues retry, elided ones never return their own node
-        let reads = (stats.top_fetches + stats.subtree_visits) as u64;
-        energy.charge_sram_search(em, reads * NODE_BYTES as u64);
-        // granted gathers move one point record each; every issue also
-        // reads one 4-byte word of the neighbor-index matrix; elided
-        // gathers reuse the winner's data for free
-        energy.charge_sram_aggregation(em, agg.grants * POINT_BYTES as u64 + agg.requests * 4);
-        energy.charge_leakage(em, build_slot + slot);
-
+        let energy = pass.energy(&config.energy, build_dram_bytes, build_cycles, build_slot);
         report.frames.push(FrameReport {
             frame: frame_idx,
             points: cloud.len(),
             queries: queries.len(),
-            neighbors: frame_results.iter().map(Vec::len).sum(),
-            compute_cycles: compute,
-            agg_cycles: agg.rounds,
-            dma_cycles: dma,
-            slot_cycles: slot,
-            conflict_stall_cycles: stats.stall_rounds as u64,
-            elided_conflicts: stats.conflicts_elided as u64,
-            agg_conflicts: agg.conflicts,
-            agg_elided: agg.elided,
+            neighbors: pass.neighbors(),
+            compute_cycles: pass.compute,
+            agg_cycles: pass.agg.rounds,
+            dma_cycles: pass.dma,
+            slot_cycles: pass.slot,
+            conflict_stall_cycles: pass.stats.stall_rounds as u64,
+            elided_conflicts: pass.stats.conflicts_elided as u64,
+            agg_conflicts: pass.agg.conflicts,
+            agg_elided: pass.agg.elided,
             build_cycles,
             build_dma_cycles: build_dma,
             build_slot_cycles: build_slot,
             build_dram_bytes,
             subtrees_rebuilt,
             full_rebuild,
-            dram_streaming_bytes: stats.dram_bytes,
-            tree_buffer_reads: reads,
-            search: stats,
+            dram_streaming_bytes: pass.stats.dram_bytes,
+            tree_buffer_reads: pass.reads,
+            search: pass.stats,
             energy,
         });
         report.ledger.push_frame(energy);
-        results.push(frame_results);
+        results.push(pass.results);
     }
 
     // A stream that never did any work pays no fill; otherwise the fill

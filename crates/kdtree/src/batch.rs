@@ -534,22 +534,6 @@ impl TaggedBatch {
 /// neighbor lists)` entry per segment, in push order.
 pub type TaggedResults = Vec<(u64, Vec<Vec<Neighbor>>)>;
 
-impl SplitTree<'_> {
-    /// [`SplitTree::search_batch`] over a tenant-tagged wavefront: runs
-    /// the flat concatenated batch (so the stats describe the shared
-    /// wavefront, tags included in no way), then demultiplexes the
-    /// results per segment via [`TaggedBatch::split_results`].
-    pub fn search_batch_tagged(
-        &self,
-        batch: &TaggedBatch,
-        config: &BatchSearchConfig,
-        state: &mut BatchState,
-    ) -> (TaggedResults, BatchSearchStats) {
-        let (flat, stats) = self.search_batch(batch.queries(), config, state);
-        (batch.split_results(flat), stats)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -814,9 +798,8 @@ mod tests {
         assert_eq!(batch.len(), 82);
         assert_eq!(batch.segments(), &[(7, 40), (3, 17), (7, 25)]);
         let cfg = BatchSearchConfig::banked(0.3, Some(16), 8, 4, 0);
-        let (tagged, tstats) = split.search_batch_tagged(&batch, &cfg, &mut BatchState::new());
-        let (flat, fstats) = split.search_batch(batch.queries(), &cfg, &mut BatchState::new());
-        assert_eq!(tstats, fstats, "tags are invisible to the engine");
+        let (flat, _) = split.search_batch(batch.queries(), &cfg, &mut BatchState::new());
+        let tagged = batch.split_results(flat.clone());
         assert_eq!(tagged.len(), 3);
         let mut cursor = 0;
         for ((tag, seg), &(want_tag, want_len)) in tagged.iter().zip(batch.segments()) {
@@ -842,7 +825,8 @@ mod tests {
         let mut shared = TaggedBatch::new();
         shared.push_segment(0, &a);
         shared.push_segment(1, &b);
-        let (together, _) = split.search_batch_tagged(&shared, &cfg, &mut BatchState::new());
+        let (flat, _) = split.search_batch(shared.queries(), &cfg, &mut BatchState::new());
+        let together = shared.split_results(flat);
         for (tag, queries) in [(0u64, &a), (1, &b)] {
             let (solo, _) = split.search_batch(queries, &cfg, &mut BatchState::new());
             let seg = &together.iter().find(|(t, _)| *t == tag).unwrap().1;

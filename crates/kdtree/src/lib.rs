@@ -15,7 +15,11 @@
 //!   descent state across the frames of a stream ([`BatchState`]), and
 //!   drains each sub-tree queue through the same banked-arbitration model
 //!   as `batch_search` (conflicts stall or are elided per the
-//!   depth-from-leaves `h_e` knob of [`BatchBankModel`]);
+//!   depth-from-leaves `h_e` knob of [`BatchBankModel`]). A
+//!   [`TaggedBatch`] concatenates several tenants' queries into one
+//!   tag-blind batch and [`TaggedBatch::split_results`] demultiplexes the
+//!   flat results; `crescent-accel` runs both its frame stream and its
+//!   service wavefronts through one kernel built on this search;
 //! * [`refit`] — incremental frame-coherent tree maintenance
 //!   ([`KdTree::refit`]): in-place coordinate update + validation +
 //!   per-sub-tree repair for temporally coherent frames, with an honest

@@ -50,14 +50,15 @@
 //! is identical** (a clean refit provably reproduces the fresh build),
 //! so the policy choice moves cycles and energy, never answers.
 //!
-//! Because the engine is tag-blind ([`SplitTree::search_batch_tagged`]
-//! runs the flat concatenated batch), results at `h_e = 0` are
+//! Because the engine is tag-blind (an instance searches the flat
+//! concatenated batch and demultiplexes it with
+//! [`TaggedBatch::split_results`]), results at `h_e = 0` are
 //! bit-identical to running each tenant alone — co-tenants move
 //! *cycles*, never *answers*. The whole simulation is a pure function
 //! of `(context, tenants, fleet, h_e, controller)`: no wall-clock, no
 //! map ordering, no randomness.
 //!
-//! [`SplitTree::search_batch_tagged`]: crescent_kdtree::SplitTree::search_batch_tagged
+//! [`TaggedBatch::split_results`]: crescent_kdtree::TaggedBatch::split_results
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
