@@ -9,6 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crescent::tenant::DEADLINE_TIERS;
 use crescent::workload::{FrameStreamConfig, StreamScenario};
 use crescent_accel::TreeMaintenance;
 use crescent_pointcloud::datasets::LidarSceneConfig;
@@ -213,6 +214,38 @@ impl ServeSpec {
         if self.fleet_sizes.contains(&0) {
             return Err("fleet sizes must be >= 1".into());
         }
+        self.validate_deadlines()
+    }
+
+    /// Checks that every frame of the canonical tenant mix gets a
+    /// nonzero deadline and that its tier deadline and absolute deadline
+    /// (`arrival + deadline`) fit in `u64` — a wrapped sum would silently
+    /// reorder EDF dispatch. Mirrors the phase and tier arithmetic of
+    /// [`crescent::tenant::mixed_tenants`] at the mix's largest tenant
+    /// count and the last tick.
+    fn validate_deadlines(&self) -> Result<(), String> {
+        if self.base_deadline == 0 {
+            return Err("base deadline must be >= 1 cycle".into());
+        }
+        let count = self.max_tenants() as u64;
+        let last_tick = self.map.num_frames as u64 - 1;
+        for i in 0..count {
+            let tier = DEADLINE_TIERS[i as usize % DEADLINE_TIERS.len()];
+            let deadline = self.base_deadline.checked_mul(tier).ok_or_else(|| {
+                format!("tier deadline {tier} x {} cycles overflows u64", self.base_deadline)
+            })?;
+            let deadline_at = i
+                .checked_mul(self.frame_period)
+                .and_then(|p| last_tick.checked_mul(self.frame_period)?.checked_add(p / count))
+                .and_then(|arrival| arrival.checked_add(deadline));
+            if deadline_at.is_none() {
+                return Err(format!(
+                    "arrival + deadline of tenant {i}'s last frame overflows u64 \
+                     (frame period {}, deadline {deadline} cycles)",
+                    self.frame_period
+                ));
+            }
+        }
         Ok(())
     }
 }
@@ -220,6 +253,7 @@ impl ServeSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crescent::tenant::mixed_tenants;
 
     #[test]
     fn canonical_specs_validate_and_expand_in_fixed_order() {
@@ -279,5 +313,40 @@ mod tests {
         let mut s = ServeSpec::quick();
         s.controller.window = 0;
         assert!(s.validate().is_err(), "controller tuning is validated with the spec");
+    }
+
+    #[test]
+    fn validation_rejects_unrepresentable_deadlines() {
+        let err = |s: &ServeSpec| s.validate().expect_err("spec must be rejected");
+        let mut s = ServeSpec::quick();
+        s.base_deadline = 0;
+        assert_eq!(err(&s), "base deadline must be >= 1 cycle");
+        // a saturated budget (what `--slo-ms 1e20` parses to) cannot
+        // be added to any arrival
+        s.base_deadline = u64::MAX;
+        assert!(err(&s).starts_with("arrival + deadline of tenant 0"), "{}", err(&s));
+        // a budget that fits on its own but not at the 2x tier
+        s.base_deadline = u64::MAX / 2 + 1;
+        assert!(err(&s).starts_with("tier deadline 2 x"), "{}", err(&s));
+        // the largest budget whose 4x tier fits still overflows once the
+        // last frame's arrival is added
+        s.base_deadline = u64::MAX / 4;
+        assert!(err(&s).starts_with("arrival + deadline of tenant"), "{}", err(&s));
+        // a period that overflows the arrival schedule itself
+        let mut s = ServeSpec::quick();
+        s.frame_period = u64::MAX / 2;
+        assert!(err(&s).starts_with("arrival + deadline of tenant"), "{}", err(&s));
+        // a budget near the top of the range is accepted, and then the
+        // scheduler's deadline arithmetic cannot wrap for any frame
+        let mut s = ServeSpec::full();
+        s.base_deadline = u64::MAX / 8;
+        s.validate().expect("every absolute deadline fits in u64");
+        let mix = mixed_tenants(s.max_tenants(), &s.tenant_base, s.frame_period, s.base_deadline);
+        for t in &mix {
+            for frame in 0..s.map.num_frames {
+                let arrival = t.arrival_at(frame, s.frame_period);
+                assert!(arrival.checked_add(t.deadline_cycles).is_some(), "{}", t.name);
+            }
+        }
     }
 }
