@@ -61,7 +61,8 @@ pub struct ServiceInstance {
     /// The modeled cycle at which this instance finishes its current
     /// wavefront and can accept the next one.
     pub free_at: u64,
-    /// Total slot cycles this instance has executed.
+    /// Total cycles this instance has been occupied: each wavefront's
+    /// slot plus its pipeline fill.
     pub busy_cycles: u64,
     /// Wavefronts dispatched to this instance.
     pub wavefronts: usize,
